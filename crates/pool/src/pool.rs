@@ -700,7 +700,11 @@ impl<'scope, 'env> Scope<'scope, 'env> {
     /// job has finished.
     pub fn spawn_as(&'scope self, class: JobClass, job: impl FnOnce() + Send + 'env) {
         if self.pool.workers.is_empty() || is_worker_thread() || !self.pool.shared.try_claim() {
-            observe_inline(job);
+            // Same panic semantics as the queued path below: defer the
+            // panic so the scope still runs every sibling before re-raising.
+            if let Err(payload) = catch_unwind(AssertUnwindSafe(|| observe_inline(job))) {
+                self.state.record_panic(payload);
+            }
             return;
         }
         self.state.add_one();

@@ -151,11 +151,13 @@ fn run_now_is_bounded_under_bulk_saturation() {
 /// Work stealing: with 3 of 4 workers parked, the one free worker must
 /// drain jobs round-robined into *all* slots — most of them not its own —
 /// and the interactive marker still overtakes the bulk queue it shares a
-/// slot with.
+/// slot with. Every job is staged while all four workers are parked and
+/// only then is one of them released, so the free worker cannot drain the
+/// bulk jobs as they arrive and the outcome does not depend on timing.
 #[test]
 fn free_worker_steals_from_parked_workers_slots() {
     let pool = Pool::new(4);
-    let parked = park_workers(&pool, 3);
+    let parked = park_workers(&pool, 4);
     let baseline_steals = pool.stats().steals;
     let done = Arc::new(AtomicUsize::new(0));
     let interactive_pos = Arc::new(AtomicUsize::new(usize::MAX));
@@ -174,8 +176,10 @@ fn free_worker_steals_from_parked_workers_slots() {
             interactive_pos.store(pos, Ordering::SeqCst);
         });
     }
-    // Three workers stay parked the whole time: only the free worker can
-    // run any of this, and ~3/4 of the jobs sit in slots it does not own.
+    // Release exactly one worker. The other three stay parked the whole
+    // time: only the free worker can run any of this, and ~3/4 of the
+    // jobs sit in slots it does not own.
+    parked.send(()).unwrap();
     wait_until(20, || done.load(Ordering::SeqCst) == BULK + 1);
     let stolen = pool.stats().steals - baseline_steals;
     assert!(

@@ -22,11 +22,13 @@
 //!    function's instruction stream is decoded into a table of op slots —
 //!    a handler function pointer plus pre-resolved operands, cycles,
 //!    width, and origin — so the hot loop is an indirect call per
-//!    instruction instead of a `match` over the opcode space. Hot binary
-//!    families are specialized per [`bytecode::BinKind`]. The classic
-//!    `match` loop survives as
-//!    [`machine::DispatchMode::Match`] for differential testing and as
-//!    the benchmark baseline.
+//!    instruction instead of a `match` over the opcode space. Cycles,
+//!    instruction counts, origin buckets and the instruction budget are
+//!    charged once per straight-line segment from precomputed suffix
+//!    sums, not once per instruction. Hot binary families are specialized
+//!    per [`bytecode::BinKind`]. The classic per-instruction `match` loop
+//!    survives as [`machine::DispatchMode::Match`] for differential
+//!    testing and as the benchmark baseline.
 //! 2. **Superinstruction fusion** ([`lower::fuse_function`]): a peephole
 //!    pass collapses hot stack-shuffle sequences (`LoadLocal;LoadLocal;Bin`,
 //!    `PushInt;Bin`, the six-instruction `i += k` statement pattern,
@@ -51,8 +53,8 @@
 //!    [`machine`]'s module docs for the contract).
 //!
 //! To add a new superinstruction, see the checklist on
-//! [`lower::fuse_function`]; for a new opcode under threaded dispatch,
-//! see the "VM hot path" section of `ROADMAP.md`.
+//! [`lower::fuse_function`]; for a new opcode, see "Adding an opcode" in
+//! [`machine`]'s module docs.
 //!
 //! ## Example
 //!

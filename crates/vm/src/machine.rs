@@ -14,9 +14,44 @@
 //! [`ThreadedOp`]s — a function pointer per opcode plus pre-resolved
 //! operands, cycles, width, and origin — so the hot loop is an indirect
 //! call per instruction instead of a `match` over the whole opcode space.
-//! The original `match` dispatcher is kept behind
-//! [`DispatchMode::Match`] as the reference semantics for differential
-//! tests and as `vmbench`'s baseline.
+//!
+//! Accounting is charged **once per straight-line segment**, not once per
+//! instruction. A segment is a maximal run of ops with one [`CodeOrigin`]
+//! whose only control-flow op, if any, is its last (`ends_segment`:
+//! jumps, calls, returns, launches, barriers). Each table slot also
+//! carries suffix sums (`seg_len`, `seg_width`, `seg_cycles`) from its own
+//! pc to the end of its segment, so wherever execution enters — a jump
+//! target, the op after a returning call, the op after a barrier — one add
+//! of each counter, one origin-bucket add and one budget check cover
+//! exactly the ops that will run. The result is bit-identical to charging
+//! each op before its handler:
+//!
+//! - a `Launch` is last in its segment, so the `thread.cycles` it records
+//!   as the launch's issue time include exactly the ops up to and
+//!   including it;
+//! - when the remaining instruction budget does not cover the segment,
+//!   the loop charges one op at a time, so exhaustion lands on the same
+//!   op;
+//! - when a handler errors mid-segment, the loop refunds the suffix sums
+//!   of the op after it (cycles, instructions, origin bucket and budget).
+//!
+//! The original `match` dispatcher is kept behind [`DispatchMode::Match`]
+//! as the reference semantics for differential tests and as `vmbench`'s
+//! baseline. It deliberately stays per-instruction — charge, check the
+//! budget, execute — because that is the specification segment
+//! accounting must reproduce: the differential tests compare the two
+//! dispatchers at every budget and on mid-segment faults.
+//!
+//! ### Adding an opcode
+//!
+//! 1. The variant, its cost and its width in `bytecode.rs`, plus its
+//!    expansion if it is a fused superinstruction.
+//! 2. A handler and its decode arm in `threaded_op`.
+//! 3. A twin arm in `run_thread_match` with identical error strings.
+//! 4. Classify the opcode in `ends_segment`: it must end its segment if
+//!    it can change pc, the frame, or yield, or if it reads
+//!    `thread.cycles`.
+//! 5. A fusion pattern in `lower.rs`, if applicable.
 //!
 //! ## Parallel block execution
 //!
@@ -360,7 +395,17 @@ struct ThreadedOp {
     b: u32,
     width: u32,
     origin: CodeOrigin,
+    /// Ops from this one to the end of its straight-line segment
+    /// (inclusive), and their summed widths and cycles — what segment
+    /// accounting charges when execution reaches this pc.
+    seg_len: u32,
+    seg_width: u32,
+    seg_cycles: u64,
 }
+
+// Handlers return in registers only while the result is at most two
+// words; a larger `ExecError` would send every result through memory.
+const _: () = assert!(std::mem::size_of::<Result<Flow, ExecError>>() <= 16);
 
 /// Borrow bundle passed to op handlers — the whole mutable per-step state,
 /// split so handlers can touch disjoint fields without re-borrowing.
@@ -779,6 +824,9 @@ fn threaded_op(instr: Instr, origin: CodeOrigin, cost: &CostModel) -> ThreadedOp
         b: 0,
         width: instr.width(),
         origin,
+        seg_len: 0,
+        seg_width: 0,
+        seg_cycles: 0,
     };
     op.exec = match instr {
         Instr::PushInt(v) => {
@@ -887,22 +935,84 @@ fn threaded_op(instr: Instr, origin: CodeOrigin, cost: &CostModel) -> ThreadedOp
     op
 }
 
+/// Whether `instr` must be the last op of its straight-line segment:
+/// it can change pc or the frame, yield the thread, or read
+/// `thread.cycles` (a launch records its issue time). The match is
+/// exhaustive so that every new opcode has to be classified.
+const fn ends_segment(instr: &Instr) -> bool {
+    match instr {
+        Instr::Jump(_)
+        | Instr::JumpIfZero(_)
+        | Instr::JumpIfNonZero(_)
+        | Instr::CmpBranchLocals(..)
+        | Instr::Call(..)
+        | Instr::Ret
+        | Instr::RetVoid
+        | Instr::Launch(..)
+        | Instr::Sync => true,
+        Instr::PushInt(_)
+        | Instr::PushFloat(_)
+        | Instr::LoadLocal(_)
+        | Instr::StoreLocal(_)
+        | Instr::LoadMem
+        | Instr::StoreMem
+        | Instr::Bin(_)
+        | Instr::Un(_)
+        | Instr::CastInt
+        | Instr::CastFloat
+        | Instr::Fence
+        | Instr::Atomic(_)
+        | Instr::Intrinsic(_)
+        | Instr::ReadSpecial(_)
+        | Instr::ReadSpecialComp(..)
+        | Instr::MakeDim3
+        | Instr::Dim3Member(_)
+        | Instr::Dim3SetMember(_)
+        | Instr::Pop
+        | Instr::Dup
+        | Instr::Swap
+        | Instr::BinLocals(..)
+        | Instr::BinImm(..)
+        | Instr::IncLocal(..)
+        | Instr::LoadLocalMem(_)
+        | Instr::StoreLoadLocal(_) => false,
+    }
+}
+
 /// Builds the per-function dispatch tables (one decoded slot per
-/// instruction, carrying the cost model's cycles and the fusion-transparent
-/// width/origin accounting).
+/// instruction, carrying the cost model's cycles, the fusion-transparent
+/// width/origin accounting, and the segment suffix sums). A segment ends
+/// after an [`ends_segment`] op, at the end of the function, and where
+/// the next op's origin differs.
 fn build_tables(module: &Module, cost: &CostModel) -> Vec<Box<[ThreadedOp]>> {
     module
         .functions
         .iter()
         .map(|f| {
-            f.code
+            let mut ops: Box<[ThreadedOp]> = f
+                .code
                 .iter()
                 .zip(&f.origins)
                 .map(|(i, og)| threaded_op(*i, *og, cost))
-                .collect()
+                .collect();
+            for pc in (0..ops.len()).rev() {
+                let op = ops[pc];
+                let rest = match ops.get(pc + 1) {
+                    Some(next) if !ends_segment(&op.instr) && next.origin == op.origin => {
+                        (next.seg_len, next.seg_width, next.seg_cycles)
+                    }
+                    _ => (0, 0, 0),
+                };
+                let slot = &mut ops[pc];
+                slot.seg_len = rest.0 + 1;
+                slot.seg_width = rest.1 + op.width;
+                slot.seg_cycles = rest.2 + op.cycles;
+            }
+            ops
         })
         .collect()
 }
+
 // ----------------------------------------------------------------------
 // Execution environment: memory views, launch sinks
 // ----------------------------------------------------------------------
@@ -1189,10 +1299,10 @@ fn budget_exhausted() -> ExecError {
 // ----------------------------------------------------------------------
 
 /// Runs one thread until it returns, reaches a barrier, or errors —
-/// direct-threaded dispatch: per instruction, charge the pre-resolved
-/// accounting and tail into the opcode's handler through its function
-/// pointer. The per-function table is re-derived only when the frame
-/// stack changes.
+/// direct-threaded dispatch with segment accounting (see the module
+/// docs): charge the straight-line segment that starts at pc once, then
+/// call each of its ops' handlers through their function pointers. The
+/// per-function table is re-derived only when the frame stack changes.
 fn run_thread_threaded(
     env: &mut ExecEnv<'_>,
     thread: &mut Thread,
@@ -1212,34 +1322,68 @@ fn run_thread_threaded(
         let table: &[ThreadedOp] = &tables[s.thread.frame.func as usize];
         loop {
             let pc = s.thread.frame.pc;
-            let Some(op) = table.get(pc) else {
+            let Some(head) = table.get(pc) else {
                 // Fell off the end of a void function.
                 if fall_off_end(s.thread) {
                     continue 'frames;
                 }
                 return Ok(());
             };
-            s.thread.frame.pc = pc + 1;
-            let width = op.width as u64;
-            s.thread.cycles += op.cycles;
+            // A budget too small for the whole segment is charged one op
+            // at a time, so exhaustion lands on the same op as it would
+            // under per-instruction charging.
+            let (len, width, cycles) = if *s.env.instr_budget >= head.seg_width as u64 {
+                (
+                    head.seg_len as usize,
+                    head.seg_width as u64,
+                    head.seg_cycles,
+                )
+            } else {
+                (1, head.width as u64, head.cycles)
+            };
+            s.thread.cycles += cycles;
             s.thread.instructions += width;
-            s.thread.origin_cycles.add(op.origin, op.cycles);
+            s.thread.origin_cycles.add(head.origin, cycles);
             if *s.env.instr_budget < width {
                 return Err(budget_exhausted());
             }
             *s.env.instr_budget -= width;
-            match (op.exec)(op, &mut s)? {
-                Flow::Next => {}
-                Flow::Frame => continue 'frames,
-                Flow::Yield => return Ok(()),
+            // Only the last op of a run can jump, so the fall-through pc
+            // is the run's end.
+            s.thread.frame.pc = pc + len;
+            let run = &table[pc..pc + len];
+            for (i, op) in run.iter().enumerate() {
+                match (op.exec)(op, &mut s) {
+                    Ok(Flow::Next) => {}
+                    Ok(Flow::Frame) => continue 'frames,
+                    Ok(Flow::Yield) => return Ok(()),
+                    Err(e) => {
+                        if let Some(next) = run.get(i + 1) {
+                            refund_rest(s.thread, s.env.instr_budget, next);
+                        }
+                        return Err(e);
+                    }
+                }
             }
         }
     }
 }
 
+/// Takes back what segment accounting charged in advance for the ops from
+/// `next` to the end of its segment, after the op before `next` errored —
+/// leaving the counters exactly as per-instruction charging would.
+#[cold]
+fn refund_rest(thread: &mut Thread, budget: &mut u64, next: &ThreadedOp) {
+    thread.cycles -= next.seg_cycles;
+    thread.instructions -= next.seg_width as u64;
+    thread.origin_cycles.0[origin_index(next.origin)] -= next.seg_cycles;
+    *budget += next.seg_width as u64;
+}
+
 /// The reference `match (opcode)` dispatcher — byte-identical accounting
 /// and semantics to [`run_thread_threaded`], kept for differential testing
-/// and as the benchmark baseline.
+/// and as the benchmark baseline. It charges per instruction: that is the
+/// specification segment accounting reproduces.
 fn run_thread_match(
     env: &mut ExecEnv<'_>,
     thread: &mut Thread,
@@ -1891,6 +2035,17 @@ impl Machine {
     /// The compiled module.
     pub fn module(&self) -> &Module {
         &self.module
+    }
+
+    /// The segment suffix sums of function `func`'s dispatch table, one
+    /// `(len, width, cycles)` triple per pc (see the module docs) — for
+    /// table-invariant tests.
+    #[doc(hidden)]
+    pub fn segment_suffixes(&self, func: FuncId) -> Vec<(u32, u32, u64)> {
+        self.tables[func as usize]
+            .iter()
+            .map(|op| (op.seg_len, op.seg_width, op.seg_cycles))
+            .collect()
     }
 
     /// Statistics so far.
@@ -3152,5 +3307,177 @@ mod tests {
             "finite budgets must serialize"
         );
         assert_eq!(m.read_i64s(d, 256).unwrap(), vec![1; 256]);
+    }
+
+    // ------------------------------------------------------------------
+    // Segment accounting vs the per-instruction reference
+    // ------------------------------------------------------------------
+
+    /// Everything a run leaves behind that accounting can touch: the
+    /// result, memory, statistics, trace, the remaining budget, and the
+    /// arena threads' counters (which an error leaves mid-block).
+    #[derive(Debug, PartialEq)]
+    struct Outcome {
+        result: Result<(), String>,
+        memory: Vec<Value>,
+        stats: MachineStats,
+        trace: ExecutionTrace,
+        budget_left: u64,
+        threads: Vec<(u64, u64, OriginCycles)>,
+    }
+
+    fn run_outcome(
+        module: &Module,
+        dispatch: DispatchMode,
+        max_instructions: u64,
+        setup: &dyn Fn(&mut Machine),
+    ) -> Outcome {
+        let limits = ExecLimits {
+            max_instructions,
+            ..Default::default()
+        };
+        let mut m = Machine::with_config(module.clone(), CostModel::default(), limits);
+        m.set_dispatch(dispatch);
+        // Sequential, so the arena threads are the machine's own.
+        m.set_block_parallelism(1);
+        setup(&mut m);
+        let result = m.run_to_quiescence().map_err(|e| e.to_string());
+        Outcome {
+            result,
+            memory: m.mem.data.clone(),
+            stats: m.stats(),
+            trace: m.take_trace(),
+            budget_left: m.instr_budget,
+            threads: m
+                .arena
+                .threads
+                .iter()
+                .map(|t| (t.cycles, t.instructions, t.origin_cycles))
+                .collect(),
+        }
+    }
+
+    /// A kernel with branches, a device call, a barrier and a device
+    /// launch, as written and thresholded plus coarsened, so that
+    /// transform-inserted (non-`Original`) code runs too.
+    fn segmented_modules() -> [Module; 2] {
+        let src = "__device__ int scale(int x, int k) { \
+                       int r = x * k; if (r > 10) { r = r - 7; } return r; }\n\
+                   __global__ void child(int* d, int base, int n) { \
+                       int i = blockIdx.x * blockDim.x + threadIdx.x; \
+                       if (i < n) { d[base + i] = d[base + i] + scale(i, 2); } }\n\
+                   __global__ void parent(int* d, int* deg, int numV) { \
+                       __shared__ int tile[4]; \
+                       int v = blockIdx.x * blockDim.x + threadIdx.x; \
+                       int count = 0; \
+                       if (v < numV) { count = deg[v]; } \
+                       tile[threadIdx.x] = scale(count, 3); \
+                       __syncthreads(); \
+                       int acc = 0; \
+                       for (int j = 0; j < count; ++j) { acc += tile[(threadIdx.x + j) % 4]; } \
+                       if (v < numV) { \
+                           d[v] = acc; \
+                           if (count > 0) { child<<<(count + 1) / 2, 2>>>(d, 8 + v * 8, count); } } }";
+        let plain = dp_frontend::parse(src).unwrap();
+        let mut transformed = plain.clone();
+        let config = dp_transform::OptConfig::none()
+            .threshold(3)
+            .coarsen_factor(2);
+        dp_transform::apply_pipeline(&mut transformed, &config);
+        let transformed = compile_program(&transformed).unwrap();
+        assert!(
+            transformed
+                .functions
+                .iter()
+                .flat_map(|f| &f.origins)
+                .any(|o| *o != CodeOrigin::Original),
+            "the transforms must insert code"
+        );
+        [compile_program(&plain).unwrap(), transformed]
+    }
+
+    fn launch_segmented(m: &mut Machine) {
+        let d = m.alloc(48);
+        let deg = m.alloc_i64s(&[2, 0, 5, 1, 3, 4]);
+        m.launch_host(
+            "parent",
+            2,
+            4,
+            &[Value::Int(d), Value::Int(deg), Value::Int(6)],
+        )
+        .unwrap();
+    }
+
+    /// Segment accounting must exhaust a finite budget on exactly the op
+    /// the per-instruction `Match` reference exhausts it on, at every
+    /// budget from 0 to the run's full instruction count.
+    #[test]
+    fn budget_sweep_matches_the_per_instruction_reference() {
+        for module in segmented_modules() {
+            let full = run_outcome(&module, DispatchMode::Match, u64::MAX, &launch_segmented);
+            assert!(full.result.is_ok(), "{:?}", full.result);
+            assert!(full.stats.device_launches > 0 && full.trace.grids.len() > 1);
+            let total = full.stats.instructions;
+            for budget in 0..=total {
+                let reference =
+                    run_outcome(&module, DispatchMode::Match, budget, &launch_segmented);
+                let threaded =
+                    run_outcome(&module, DispatchMode::Threaded, budget, &launch_segmented);
+                assert_eq!(threaded, reference, "budget {budget} of {total}");
+                assert_eq!(reference.result.is_ok(), budget == total, "budget {budget}");
+            }
+        }
+    }
+
+    /// A handler that errors in the middle of a straight-line segment
+    /// must leave the counters where per-instruction charging leaves
+    /// them: the charges for the ops after it are refunded.
+    #[test]
+    fn mid_segment_errors_match_the_per_instruction_reference() {
+        let cases = [
+            (
+                "out-of-bounds load",
+                "__global__ void k(int* d, int z, int far) { \
+                     int a = threadIdx.x + 1; \
+                     int b = d[far] + a; \
+                     d[1] = b * 2; d[2] = a; }",
+                "out of bounds",
+            ),
+            (
+                "divide by zero",
+                "__global__ void k(int* d, int z, int far) { \
+                     int a = threadIdx.x + 1; \
+                     int q = (a * 3) / z; \
+                     d[1] = q + a; d[2] = a; }",
+                "division by zero",
+            ),
+        ];
+        for (name, src, expected) in cases {
+            let module = compile_program(&dp_frontend::parse(src).unwrap()).unwrap();
+            let m = Machine::new(module.clone());
+            let k = module.id_of("k").unwrap();
+            assert_eq!(
+                m.tables[k as usize][0].seg_len as usize,
+                module.function(k).code.len(),
+                "{name}: the kernel is one straight-line segment"
+            );
+            let setup = |m: &mut Machine| {
+                let d = m.alloc(4);
+                m.launch_host(
+                    "k",
+                    1,
+                    4,
+                    &[Value::Int(d), Value::Int(0), Value::Int(1_000_000)],
+                )
+                .unwrap();
+            };
+            for budget in [u64::MAX, 1_000] {
+                let reference = run_outcome(&module, DispatchMode::Match, budget, &setup);
+                let threaded = run_outcome(&module, DispatchMode::Threaded, budget, &setup);
+                let err = reference.result.clone().unwrap_err();
+                assert!(err.contains(expected), "{name}: {err}");
+                assert_eq!(threaded, reference, "{name}, budget {budget}");
+            }
+        }
     }
 }
