@@ -1,14 +1,13 @@
 //! Edge-case semantics of the process-wide `DPOPT_JOBS` budget
-//! (`dp_vm::jobs`, re-exported from `dp_pool::jobs` — the ledger the
-//! shared pool holds its lifetime reservation from): reserving from an
-//! exhausted budget, `DPOPT_JOBS=1`, and budget release when the
-//! reserving worker panics.
+//! (`dp_pool::jobs` — the ledger the shared pool holds its lifetime
+//! reservation from): reserving from an exhausted budget, `DPOPT_JOBS=1`,
+//! and budget release when the reserving worker panics.
 //!
 //! The budget is process-global state, so the tests in this file serialize
 //! on a mutex, and the `DPOPT_JOBS=1` case (which needs the env var read
 //! at first touch) re-runs this test binary as a child process.
 
-use dp_vm::jobs::{configured_jobs, reserve_up_to};
+use dp_pool::jobs::{configured_jobs, reserve_up_to};
 use std::sync::Mutex;
 
 /// Serializes the budget-touching tests; the libtest harness runs tests in
@@ -17,7 +16,7 @@ static BUDGET_LOCK: Mutex<()> = Mutex::new(());
 
 /// The whole budget (the configured job count bounds the token pool, so
 /// this request can never be partially satisfiable by a larger one).
-fn drain_budget() -> dp_vm::jobs::Reservation {
+fn drain_budget() -> dp_pool::jobs::Reservation {
     reserve_up_to(configured_jobs())
 }
 

@@ -717,6 +717,20 @@ pub fn verify(dir: &Path, repair: bool) -> std::io::Result<VerifyReport> {
 mod tests {
     use super::*;
 
+    /// Held by every test that quarantines an entry, so that the exact
+    /// `sweep.cache.corrupt` delta one of them asserts is not raced by the
+    /// others (libtest runs a binary's tests on parallel threads, and the
+    /// counter is process-wide).
+    static QUARANTINE_COUNTER: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn serialize_quarantines() -> std::sync::MutexGuard<'static, ()> {
+        // The guard protects no data, so a test that panicked holding it
+        // leaves nothing to recover.
+        QUARANTINE_COUNTER
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
     #[test]
     fn store_and_load_round_trip() {
         let dir = std::env::temp_dir().join(format!("dp-sweep-cache-test-{}", std::process::id()));
@@ -889,6 +903,7 @@ mod tests {
 
     #[test]
     fn corrupt_entry_is_quarantined_counted_and_never_served() {
+        let _serial = serialize_quarantines();
         let dir = std::env::temp_dir().join(format!("dp-sweep-q-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         store(&dir, 21, &sample_summary("x"));
@@ -937,6 +952,7 @@ mod tests {
 
     #[test]
     fn torn_publish_is_caught_by_the_footer() {
+        let _serial = serialize_quarantines();
         let dir = std::env::temp_dir().join(format!("dp-sweep-torn-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         // torn-write reports success with half the bytes, so the rename
@@ -1022,6 +1038,7 @@ mod tests {
 
     #[test]
     fn store_sealed_rejects_corrupt_payloads_without_publishing() {
+        let _serial = serialize_quarantines();
         let dir = std::env::temp_dir().join(format!("dp-sweep-seal-rej-{}", std::process::id()));
         let src = std::env::temp_dir().join(format!("dp-sweep-seal-src-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -1047,6 +1064,7 @@ mod tests {
 
     #[test]
     fn load_sealed_quarantines_corrupt_entries_and_skips_stale_ones() {
+        let _serial = serialize_quarantines();
         let dir = std::env::temp_dir().join(format!("dp-sweep-seal-load-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         assert!(load_sealed(&dir, 1).is_none(), "missing dir is a miss");

@@ -192,12 +192,13 @@ pub enum Instr {
     BinLocals(BinKind, u16, u16),
     /// Fused `PushInt(v); Bin(op)` — replace top of stack `a` with `a op v`.
     BinImm(BinKind, i64),
-    /// Fused local increment: `locals[slot] += v` with no net stack effect.
+    /// Fused add-immediate statement: `locals[dst] = locals[src] + v` with
+    /// no net stack effect (`x += k`, `x++`, and `x = y ± k` alike).
     /// Canonical expansion is the prefix form
-    /// `LoadLocal; PushInt; Bin(Add); Dup; StoreLocal; Pop`; the fuser also
-    /// recognizes the postfix ordering and `Bin(Sub)` (with `v` negated),
-    /// whose costs and widths are identical.
-    IncLocal(u16, i64),
+    /// `LoadLocal src; PushInt v; Bin(Add); Dup; StoreLocal dst; Pop`; the
+    /// fuser also recognizes the postfix ordering and `Bin(Sub)` (with `v`
+    /// negated), whose costs and widths are identical.
+    AddImmLocal(u16, u16, i64),
     /// Fused `LoadLocal(slot); LoadMem` — push `mem[locals[slot]]`.
     LoadLocalMem(u16),
     /// Fused compare-and-branch:
@@ -211,13 +212,26 @@ pub enum Instr {
     /// the `int x = e; use(x);` shape common in lowered accumulator
     /// updates).
     StoreLoadLocal(u16),
+    /// Fused `CastInt; StoreLocal(slot)` — the `int x = e;` declaration:
+    /// pop, truncate to integer, store.
+    CastStoreLocal(u16),
+    /// Fused `x = y;` statement: `LoadLocal(src); Dup; StoreLocal(dst);
+    /// Pop` — copy one local into another with no net stack effect.
+    CopyLocal(u16, u16),
+    /// Fused indexed load `LoadLocal(a); LoadLocal(b); Bin(Add); LoadMem` —
+    /// push `mem[locals[a] + locals[b]]` (the `p[i]` shape).
+    LoadIndexed(u16, u16),
+    /// Fused compare-and-branch on the stack: `Bin(cmp); JumpIfZero(target)`
+    /// — pop `b` then `a`, jump to `target` when `a cmp b` is false. Only
+    /// comparison [`BinKind`]s are fused.
+    CmpBranch(BinKind, u32),
 }
 
 impl Instr {
     /// The original instruction sequence a fused superinstruction replaces
     /// (`None` for primitive instructions).
     ///
-    /// The expansion is the *canonical* form: [`Instr::IncLocal`] expands to
+    /// The expansion is the *canonical* form: [`Instr::AddImmLocal`] expands to
     /// the prefix/`Add` sequence even when it was fused from the postfix or
     /// `Sub` variant (all variants have identical cost classes, so the
     /// accounting is unaffected). [`Instr::cost`] and [`Instr::width`] are
@@ -231,12 +245,12 @@ impl Instr {
                 Instr::Bin(op),
             ]),
             Instr::BinImm(op, v) => Some(vec![Instr::PushInt(v), Instr::Bin(op)]),
-            Instr::IncLocal(slot, v) => Some(vec![
-                Instr::LoadLocal(slot),
+            Instr::AddImmLocal(dst, src, v) => Some(vec![
+                Instr::LoadLocal(src),
                 Instr::PushInt(v),
                 Instr::Bin(BinKind::Add),
                 Instr::Dup,
-                Instr::StoreLocal(slot),
+                Instr::StoreLocal(dst),
                 Instr::Pop,
             ]),
             Instr::LoadLocalMem(slot) => Some(vec![Instr::LoadLocal(slot), Instr::LoadMem]),
@@ -249,6 +263,20 @@ impl Instr {
             Instr::StoreLoadLocal(slot) => {
                 Some(vec![Instr::StoreLocal(slot), Instr::LoadLocal(slot)])
             }
+            Instr::CastStoreLocal(slot) => Some(vec![Instr::CastInt, Instr::StoreLocal(slot)]),
+            Instr::CopyLocal(dst, src) => Some(vec![
+                Instr::LoadLocal(src),
+                Instr::Dup,
+                Instr::StoreLocal(dst),
+                Instr::Pop,
+            ]),
+            Instr::LoadIndexed(a, b) => Some(vec![
+                Instr::LoadLocal(a),
+                Instr::LoadLocal(b),
+                Instr::Bin(BinKind::Add),
+                Instr::LoadMem,
+            ]),
+            Instr::CmpBranch(op, target) => Some(vec![Instr::Bin(op), Instr::JumpIfZero(target)]),
             _ => None,
         }
     }
@@ -302,10 +330,12 @@ impl Instr {
             Instr::Atomic(_) => CostClass::Atomic,
             Instr::Intrinsic(_) => CostClass::Intrinsic,
             Instr::BinLocals(op, ..) | Instr::BinImm(op, _) => Instr::Bin(*op).cost_class(),
-            Instr::IncLocal(..) => CostClass::Alu,
-            Instr::LoadLocalMem(_) => CostClass::Mem,
-            Instr::CmpBranchLocals(..) => CostClass::Branch,
-            Instr::StoreLoadLocal(_) => CostClass::Alu,
+            Instr::AddImmLocal(..) => CostClass::Alu,
+            Instr::LoadLocalMem(_) | Instr::LoadIndexed(..) => CostClass::Mem,
+            Instr::CmpBranchLocals(..) | Instr::CmpBranch(..) => CostClass::Branch,
+            Instr::StoreLoadLocal(_) | Instr::CastStoreLocal(_) | Instr::CopyLocal(..) => {
+                CostClass::Alu
+            }
         }
     }
 }
@@ -493,10 +523,14 @@ mod tests {
         for (fused, width) in [
             (Instr::BinLocals(BinKind::Mul, 0, 1), 3),
             (Instr::BinImm(BinKind::Div, 7), 2),
-            (Instr::IncLocal(2, 1), 6),
+            (Instr::AddImmLocal(2, 2, 1), 6),
             (Instr::LoadLocalMem(0), 2),
             (Instr::CmpBranchLocals(BinKind::Lt, 0, 1, 9), 4),
             (Instr::StoreLoadLocal(3), 2),
+            (Instr::CastStoreLocal(1), 2),
+            (Instr::CopyLocal(0, 1), 4),
+            (Instr::LoadIndexed(0, 1), 4),
+            (Instr::CmpBranch(BinKind::Gt, 7), 2),
         ] {
             let parts = fused.expansion().expect("fused ops expand");
             assert_eq!(fused.width(), width);

@@ -25,15 +25,19 @@
 //!    instruction instead of a `match` over the opcode space. Cycles,
 //!    instruction counts, origin buckets and the instruction budget are
 //!    charged once per straight-line segment from precomputed suffix
-//!    sums, not once per instruction. Hot binary families are specialized
-//!    per [`bytecode::BinKind`]. The classic per-instruction `match` loop
-//!    survives as [`machine::DispatchMode::Match`] for differential
-//!    testing and as the benchmark baseline.
+//!    sums, not once per instruction, and a segment's trailing
+//!    unconditional jump is charged but never dispatched. Handlers return
+//!    a one-byte outcome in a register. Hot binary families are
+//!    specialized per [`bytecode::BinKind`]. The classic per-instruction
+//!    `match` loop survives as [`machine::DispatchMode::Match`] for
+//!    differential testing and as the benchmark baseline.
 //! 2. **Superinstruction fusion** ([`lower::fuse_function`]): a peephole
 //!    pass collapses hot stack-shuffle sequences (`LoadLocal;LoadLocal;Bin`,
-//!    `PushInt;Bin`, the six-instruction `i += k` statement pattern,
-//!    `LoadLocal;LoadMem`, `StoreLocal s;LoadLocal s`) into single fused
-//!    opcodes. Fusion is *accounting-transparent*: every superinstruction
+//!    `PushInt;Bin`, the six-instruction `x = y ± k` statement pattern,
+//!    `LoadLocal;LoadMem`, the `p[i]` load, `x = y;`, `int x = e;`,
+//!    compare-and-branch, `StoreLocal s;LoadLocal s`) into single fused
+//!    opcodes, chosen from the VM's measured dispatch profile. Fusion is
+//!    *accounting-transparent*: every superinstruction
 //!    is charged its expansion's summed cycles and counted as
 //!    [`Instr::width`](bytecode::Instr::width) original instructions, so
 //!    traces, statistics, and per-origin attribution are byte-identical
@@ -45,8 +49,8 @@
 //!    nothing. Kernel arguments are coerced once per grid, not per block.
 //! 4. **Parallel block execution**: grids with enough blocks run across a
 //!    worker pool drawn from the shared `DPOPT_JOBS` budget
-//!    ([`jobs`]). Blocks execute speculatively against a memory snapshot
-//!    with word-granular read/write tracking; a block-order merge
+//!    ([`dp_pool::jobs`]). Blocks execute speculatively against a memory
+//!    snapshot with word-granular read/write tracking; a block-order merge
 //!    validates, applies, or transparently re-executes them, keeping
 //!    memory, traces, statistics, and launch order **bit-identical to
 //!    sequential execution at any worker count** (see
@@ -78,10 +82,6 @@ pub mod lower;
 pub mod machine;
 pub mod trace;
 pub mod value;
-
-// The budget moved to the shared worker-pool crate (`dp-pool`); the
-// re-export keeps every historical `dp_vm::jobs::` path working.
-pub use dp_pool::jobs;
 
 pub use bytecode::{CostClass, CostModel, Module};
 pub use error::{CompileError, ExecError};

@@ -130,35 +130,49 @@ pub fn fuse_module(module: &mut Module) {
 ///
 /// | window | superinstruction |
 /// |---|---|
-/// | `LoadLocal s; PushInt k; Bin ±; Dup; StoreLocal s; Pop` | `IncLocal(s, ±k)` |
-/// | `LoadLocal s; Dup; PushInt k; Bin ±; StoreLocal s; Pop` | `IncLocal(s, ±k)` |
+/// | `LoadLocal s; PushInt k; Bin ±; Dup; StoreLocal d; Pop` | `AddImmLocal(d, s, ±k)` |
+/// | `LoadLocal s; Dup; PushInt k; Bin ±; StoreLocal d; Pop` | `AddImmLocal(d, s, ±k)` |
 /// | `LoadLocal a; LoadLocal b; Bin cmp; JumpIfZero t` | `CmpBranchLocals(cmp, a, b, t)` |
+/// | `LoadLocal a; LoadLocal b; Bin Add; LoadMem` | `LoadIndexed(a, b)` |
+/// | `LoadLocal s; Dup; StoreLocal d; Pop` | `CopyLocal(d, s)` |
 /// | `LoadLocal a; LoadLocal b; Bin op` | `BinLocals(op, a, b)` |
 /// | `LoadLocal s; LoadMem` | `LoadLocalMem(s)` |
 /// | `PushInt v; Bin op` | `BinImm(op, v)` |
+/// | `Bin cmp; JumpIfZero t` | `CmpBranch(cmp, t)` |
 /// | `StoreLocal s; LoadLocal s` | `StoreLoadLocal(s)` |
+/// | `CastInt; StoreLocal s` | `CastStoreLocal(s)` |
 ///
-/// `StoreLoadLocal` additionally looks one window ahead: it is skipped when
-/// the `LoadLocal` it would consume starts a wider (≥ 3 instruction)
-/// pattern, so `int v = e; if (v < n)` keeps its more valuable
-/// `CmpBranchLocals` fusion.
+/// `AddImmLocal` covers `x += k`, `++x`, `x++` and `x = y ± k`; a
+/// subtraction fuses as the addition of `-k` (exact for wrapping integers
+/// and IEEE floats), except `k = i64::MIN`, which has no negation.
+///
+/// The two store windows look one window ahead. `StoreLoadLocal` is
+/// skipped when the `LoadLocal` it would consume starts a wider (≥ 3
+/// instruction) pattern, so `int v = e; if (v < n)` keeps its more valuable
+/// `CmpBranchLocals` fusion. `CastStoreLocal` yields the same way to any
+/// pattern that starts at its `StoreLocal` (that is, to `StoreLoadLocal`),
+/// so `int v = e; use(v)` keeps its store-then-reload fusion.
+///
+/// The windows come from the VM's measured dispatch profile: the
+/// aggregated child's disaggregation search (`int mid = (lo + hi) / 2;
+/// if (scan[mid] > b) hi = mid; else lo = mid + 1;`) and the benchmarks'
+/// neighbour searches are made of these shapes.
 ///
 /// To add a new superinstruction: add the opcode + its [`Instr::expansion`]
-/// in `bytecode.rs`, a match arm in `try_fuse_at` here, and a dispatch arm
-/// in `machine.rs` that replicates the expansion's observable semantics
-/// (including error cases). The accounting (cycles, instruction counts,
-/// origin attribution) follows from the expansion automatically.
+/// in `bytecode.rs`, a match arm in `try_fuse_at` here, and the handler,
+/// `Match` arm and `ends_segment` entry in `machine.rs` ("Adding an
+/// opcode" in its module docs) that replicate the expansion's observable
+/// semantics (including error cases). A superinstruction that ends in a
+/// jump must also be added to `jump_target_mut`. The accounting (cycles,
+/// instruction counts, origin attribution) follows from the expansion
+/// automatically.
 pub fn fuse_function(f: &mut CompiledFunction) {
     let n = f.code.len();
     // Instruction indices some jump lands on (code.len() is a valid target
     // for loops that end the function).
     let mut is_target = vec![false; n + 1];
-    for instr in &f.code {
-        if let Instr::Jump(t)
-        | Instr::JumpIfZero(t)
-        | Instr::JumpIfNonZero(t)
-        | Instr::CmpBranchLocals(.., t) = instr
-        {
+    for instr in &mut f.code {
+        if let Some(t) = jump_target_mut(instr) {
             is_target[*t as usize] = true;
         }
     }
@@ -188,16 +202,24 @@ pub fn fuse_function(f: &mut CompiledFunction) {
     map[n] = code.len() as u32;
 
     for instr in &mut code {
-        if let Instr::Jump(t)
-        | Instr::JumpIfZero(t)
-        | Instr::JumpIfNonZero(t)
-        | Instr::CmpBranchLocals(.., t) = instr
-        {
+        if let Some(t) = jump_target_mut(instr) {
             *t = map[*t as usize];
         }
     }
     f.code = code;
     f.origins = origins;
+}
+
+/// The branch target of a jump instruction (plain or fused), if any.
+fn jump_target_mut(instr: &mut Instr) -> Option<&mut u32> {
+    match instr {
+        Instr::Jump(t)
+        | Instr::JumpIfZero(t)
+        | Instr::JumpIfNonZero(t)
+        | Instr::CmpBranchLocals(.., t)
+        | Instr::CmpBranch(_, t) => Some(t),
+        _ => None,
+    }
 }
 
 /// Tries to fuse a window starting at `code[0]`; returns the
@@ -214,41 +236,51 @@ fn try_fuse_at(
             && origins[1..width].iter().all(|o| *o == origins[0])
             && targets_after[..width - 1].iter().all(|t| !t)
     };
-    let inc_delta = |op: BinKind, k: i64| match op {
+    let add_delta = |op: BinKind, k: i64| match op {
         BinKind::Add => Some(k),
         // `x - k` and `x + (-k)` are exact-identical for both integer
         // (wrapping) and IEEE float semantics; i64::MIN has no negation.
         BinKind::Sub if k != i64::MIN => Some(-k),
         _ => None,
     };
+    let is_cmp = |op: BinKind| {
+        matches!(
+            op,
+            BinKind::Lt | BinKind::Le | BinKind::Gt | BinKind::Ge | BinKind::Eq | BinKind::Ne
+        )
+    };
+    // Whether a pattern of at least `width` instructions starts at the
+    // window's second instruction (the store windows' lookahead).
+    let next_fuses = |width: usize| {
+        try_fuse_at(&code[1..], &origins[1..], &targets_after[1..]).is_some_and(|(_, w)| w >= width)
+    };
 
     if fusible(6) {
-        // Prefix `±±x` / compound `x ±= k` statement...
-        if let [LoadLocal(s), PushInt(k), Bin(op), Dup, StoreLocal(s2), Pop, ..] = *code {
-            if s == s2 {
-                if let Some(delta) = inc_delta(op, k) {
-                    return Some((IncLocal(s, delta), 6));
-                }
+        // Prefix `±±x` / compound `x ±= k` / `x = y ± k` statement...
+        if let [LoadLocal(src), PushInt(k), Bin(op), Dup, StoreLocal(dst), Pop, ..] = *code {
+            if let Some(delta) = add_delta(op, k) {
+                return Some((AddImmLocal(dst, src, delta), 6));
             }
         }
         // ...and the postfix `x±±` ordering (same cost classes).
-        if let [LoadLocal(s), Dup, PushInt(k), Bin(op), StoreLocal(s2), Pop, ..] = *code {
-            if s == s2 {
-                if let Some(delta) = inc_delta(op, k) {
-                    return Some((IncLocal(s, delta), 6));
-                }
+        if let [LoadLocal(src), Dup, PushInt(k), Bin(op), StoreLocal(dst), Pop, ..] = *code {
+            if let Some(delta) = add_delta(op, k) {
+                return Some((AddImmLocal(dst, src, delta), 6));
             }
         }
     }
     if fusible(4) {
         // Loop-condition shape: compare two locals, branch when false.
         if let [LoadLocal(a), LoadLocal(b), Bin(op), JumpIfZero(t), ..] = *code {
-            if matches!(
-                op,
-                BinKind::Lt | BinKind::Le | BinKind::Gt | BinKind::Ge | BinKind::Eq | BinKind::Ne
-            ) {
+            if is_cmp(op) {
                 return Some((CmpBranchLocals(op, a, b, t), 4));
             }
+        }
+        if let [LoadLocal(a), LoadLocal(b), Bin(BinKind::Add), LoadMem, ..] = *code {
+            return Some((LoadIndexed(a, b), 4));
+        }
+        if let [LoadLocal(src), Dup, StoreLocal(dst), Pop, ..] = *code {
+            return Some((CopyLocal(dst, src), 4));
         }
     }
     if fusible(3) {
@@ -263,15 +295,26 @@ fn try_fuse_at(
         if let [PushInt(v), Bin(op), ..] = *code {
             return Some((BinImm(op, v), 2));
         }
+        if let [Bin(op), JumpIfZero(t), ..] = *code {
+            if is_cmp(op) {
+                return Some((CmpBranch(op, t), 2));
+            }
+        }
         if let [StoreLocal(s), LoadLocal(s2), ..] = *code {
             // Store-then-reload. Greedy left-to-right scanning would let
             // this width-2 window swallow the first instruction of a wider
             // pattern starting at the reload (e.g. the 4-wide
             // `CmpBranchLocals`); only fuse when that costs nothing.
-            let steals_wider_window = try_fuse_at(&code[1..], &origins[1..], &targets_after[1..])
-                .is_some_and(|(_, width)| width >= 3);
-            if s == s2 && !steals_wider_window {
+            if s == s2 && !next_fuses(3) {
                 return Some((StoreLoadLocal(s), 2));
+            }
+        }
+        if let [CastInt, StoreLocal(s), ..] = *code {
+            // Declaration store. Yields to a pattern starting at the store
+            // (`StoreLoadLocal`), which saves as much and keeps the reload
+            // fused.
+            if !next_fuses(2) {
+                return Some((CastStoreLocal(s), 2));
             }
         }
     }
@@ -1294,7 +1337,7 @@ mod tests {
         let u = unfused.by_name("k").unwrap();
         assert!(f.code.len() < u.code.len(), "fusion must shrink the stream");
         assert!(
-            f.code.iter().any(|i| matches!(i, Instr::IncLocal(..))),
+            f.code.iter().any(|i| matches!(i, Instr::AddImmLocal(..))),
             "loop step fuses"
         );
         assert!(
@@ -1502,6 +1545,113 @@ mod tests {
                 assert!((*t as usize) <= code.len());
             }
         }
+    }
+
+    #[test]
+    fn binary_search_fuses_into_profile_superinstructions() {
+        // The disaggregation search of an aggregated child kernel.
+        let src = "__global__ void k(int* scan, int* d, int np) { \
+                       int lo = 0; \
+                       int hi = np - 1; \
+                       while (lo < hi) { \
+                           int mid = (lo + hi) / 2; \
+                           if (scan[mid] > blockIdx.x) { hi = mid; } else { lo = mid + 1; } } \
+                       d[threadIdx.x] = lo; }";
+        let fused = compile(src);
+        let unfused = compile_unfused(src);
+        let f = fused.by_name("k").unwrap();
+        let u = unfused.by_name("k").unwrap();
+        for (what, found) in [
+            (
+                "int mid = e",
+                f.code.iter().any(|i| matches!(i, Instr::CastStoreLocal(_))),
+            ),
+            (
+                "scan[mid]",
+                f.code.iter().any(|i| matches!(i, Instr::LoadIndexed(..))),
+            ),
+            (
+                "hi = mid",
+                f.code.iter().any(|i| matches!(i, Instr::CopyLocal(..))),
+            ),
+            (
+                "lo = mid + 1",
+                f.code
+                    .iter()
+                    .any(|i| matches!(i, Instr::AddImmLocal(dst, src, 1) if dst != src)),
+            ),
+            (
+                "scan[mid] > blockIdx.x",
+                f.code
+                    .iter()
+                    .any(|i| matches!(i, Instr::CmpBranch(BinKind::Gt, _))),
+            ),
+        ] {
+            assert!(found, "`{what}` must fuse: {:?}", f.code);
+        }
+        let total: u32 = f.code.iter().map(|i| i.width()).sum();
+        assert_eq!(total as usize, u.code.len());
+        // Every branch target, fused ones included, points at the same
+        // instruction the unfused branch did.
+        let starts: Vec<usize> = f
+            .code
+            .iter()
+            .scan(0usize, |at, i| {
+                let start = *at;
+                *at += i.width() as usize;
+                Some(start)
+            })
+            .collect();
+        for (fi, ui) in f.code.iter().zip(&starts) {
+            if let Instr::CmpBranch(_, t)
+            | Instr::CmpBranchLocals(.., t)
+            | Instr::Jump(t)
+            | Instr::JumpIfZero(t)
+            | Instr::JumpIfNonZero(t) = fi
+            {
+                let unfused_target = match u.code[*ui + fi.width() as usize - 1] {
+                    Instr::Jump(t) | Instr::JumpIfZero(t) | Instr::JumpIfNonZero(t) => t as usize,
+                    other => panic!("fused branch expands to {other:?}"),
+                };
+                let fused_target = starts.get(*t as usize).copied().unwrap_or(u.code.len());
+                assert_eq!(fused_target, unfused_target, "{fi:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn subtracting_i64_min_does_not_fuse_into_add_imm_local() {
+        use dp_frontend::ast::FnQual;
+        let window = |k: i64| {
+            let code = vec![
+                Instr::LoadLocal(0),
+                Instr::PushInt(k),
+                Instr::Bin(BinKind::Sub),
+                Instr::Dup,
+                Instr::StoreLocal(1),
+                Instr::Pop,
+                Instr::RetVoid,
+            ];
+            let mut f = CompiledFunction {
+                name: "k".into(),
+                qual: FnQual::Global,
+                param_types: vec![],
+                n_locals: 2,
+                origins: vec![CodeOrigin::Original; code.len()],
+                code,
+                contains_launch: false,
+                shared_words: 0,
+            };
+            fuse_function(&mut f);
+            f.code
+        };
+        assert_eq!(window(5)[0], Instr::AddImmLocal(1, 0, -5));
+        assert!(
+            !window(i64::MIN)
+                .iter()
+                .any(|i| matches!(i, Instr::AddImmLocal(..))),
+            "i64::MIN has no negation"
+        );
     }
 
     #[test]

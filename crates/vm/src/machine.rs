@@ -15,6 +15,15 @@
 //! operands, cycles, width, and origin — so the hot loop is an indirect
 //! call per instruction instead of a `match` over the whole opcode space.
 //!
+//! A handler returns a one-byte `Flow` (`Next`, `Frame`, `Yield` or
+//! `Error`), which comes back in a register. A failing handler parks its
+//! [`ExecError`] in `StepCtx` and answers `Flow::Error`; the loop takes
+//! the error from there. Handler bodies are written with `?` inside the
+//! `handlers!` macro, which does the parking. (A `Result<Flow, ExecError>`
+//! is two words even with the error boxed, and was returned through a
+//! hidden out-pointer: the size of a type does not decide its calling
+//! convention.)
+//!
 //! Accounting is charged **once per straight-line segment**, not once per
 //! instruction. A segment is a maximal run of ops with one [`CodeOrigin`]
 //! whose only control-flow op, if any, is its last (`ends_segment`:
@@ -23,17 +32,21 @@
 //! pc to the end of its segment, so wherever execution enters — a jump
 //! target, the op after a returning call, the op after a barrier — one add
 //! of each counter, one origin-bucket add and one budget check cover
-//! exactly the ops that will run. The result is bit-identical to charging
-//! each op before its handler:
+//! exactly the ops that will run. The slot also holds how many of those
+//! ops to dispatch (`seg_ops`) and where execution continues (`seg_next`):
+//! a segment that ends in an unconditional `Jump` is charged in full but
+//! does not dispatch the `Jump`; the loop continues at its target. The
+//! result is bit-identical to charging each op before its handler:
 //!
 //! - a `Launch` is last in its segment, so the `thread.cycles` it records
 //!   as the launch's issue time include exactly the ops up to and
 //!   including it;
 //! - when the remaining instruction budget does not cover the segment,
-//!   the loop charges one op at a time, so exhaustion lands on the same
-//!   op;
+//!   the loop charges one op at a time, and dispatches it even if it is a
+//!   `Jump`, so exhaustion lands on the same op;
 //! - when a handler errors mid-segment, the loop refunds the suffix sums
-//!   of the op after it (cycles, instructions, origin bucket and budget).
+//!   of the op after it (cycles, instructions, origin bucket and budget),
+//!   an elided trailing `Jump` included.
 //!
 //! The original `match` dispatcher is kept behind [`DispatchMode::Match`]
 //! as the reference semantics for differential tests and as `vmbench`'s
@@ -46,12 +59,16 @@
 //!
 //! 1. The variant, its cost and its width in `bytecode.rs`, plus its
 //!    expansion if it is a fused superinstruction.
-//! 2. A handler and its decode arm in `threaded_op`.
+//! 2. A handler in the `handlers!` block and its decode arm in
+//!    `threaded_op`. The handler body returns `Result<Flow, ExecError>`
+//!    and may use `?`; the macro turns an error into a parked error and
+//!    `Flow::Error`.
 //! 3. A twin arm in `run_thread_match` with identical error strings.
 //! 4. Classify the opcode in `ends_segment`: it must end its segment if
 //!    it can change pc, the frame, or yield, or if it reads
 //!    `thread.cycles`.
-//! 5. A fusion pattern in `lower.rs`, if applicable.
+//! 5. A fusion pattern in `lower.rs`, if applicable; a fused op that ends
+//!    in a jump also needs its target in `lower.rs`'s `jump_target_mut`.
 //!
 //! ## Parallel block execution
 //!
@@ -363,7 +380,7 @@ pub enum DispatchMode {
     Match,
 }
 
-/// Outcome of one op handler.
+/// Outcome of one op handler: one byte, so it comes back in a register.
 enum Flow {
     /// Fall through to the next instruction.
     Next,
@@ -371,10 +388,11 @@ enum Flow {
     Frame,
     /// The thread yielded (barrier) or finished.
     Yield,
+    /// The handler failed; its error is parked in [`StepCtx::error`].
+    Error,
 }
 
-type OpResult = Result<Flow, ExecError>;
-type OpFn = fn(&ThreadedOp, &mut StepCtx<'_, '_>) -> OpResult;
+type OpFn = fn(&ThreadedOp, &mut StepCtx<'_, '_>) -> Flow;
 
 /// One decoded instruction slot: handler pointer, pre-resolved operands,
 /// and the accounting (cycles in the machine's cost model, original
@@ -389,7 +407,8 @@ struct ThreadedOp {
     cycles: u64,
     /// Integer immediate / float bits / branch target (CmpBranchLocals).
     imm: i64,
-    /// First operand: local slot, jump target, FuncId, special index, lane.
+    /// First operand: local slot (the destination of a two-slot op), jump
+    /// target, FuncId, special index, lane.
     a: u32,
     /// Second operand: local slot, argument count, lane.
     b: u32,
@@ -401,11 +420,19 @@ struct ThreadedOp {
     seg_len: u32,
     seg_width: u32,
     seg_cycles: u64,
+    /// How many of those `seg_len` ops have their handler called: all of
+    /// them, or one fewer when the segment ends in an unconditional `Jump`,
+    /// which is charged but not dispatched.
+    seg_ops: u32,
+    /// The pc execution continues at after the segment: the elided
+    /// `Jump`'s target, or the op after the segment.
+    seg_next: u32,
 }
 
-// Handlers return in registers only while the result is at most two
-// words; a larger `ExecError` would send every result through memory.
-const _: () = assert!(std::mem::size_of::<Result<Flow, ExecError>>() <= 16);
+// A one-byte handler result is returned in a register. (A two-word
+// `Result<Flow, ExecError>` was not: it came back through a hidden
+// out-pointer.)
+const _: () = assert!(std::mem::size_of::<Flow>() == 1);
 
 /// Borrow bundle passed to op handlers — the whole mutable per-step state,
 /// split so handlers can touch disjoint fields without re-borrowing.
@@ -415,6 +442,41 @@ struct StepCtx<'a, 'm> {
     block: &'a BlockCtx,
     shared: &'a mut [Value],
     btrace: &'a mut BlockTrace,
+    /// The error of the handler that answered [`Flow::Error`].
+    error: Option<ExecError>,
+}
+
+impl StepCtx<'_, '_> {
+    /// Parks a handler's error for the dispatch loop to take.
+    #[cold]
+    #[inline(never)]
+    fn park(&mut self, e: ExecError) -> Flow {
+        self.error = Some(e);
+        Flow::Error
+    }
+}
+
+/// Defines op handlers. Each body returns `Result<Flow, ExecError>` and
+/// may use `?`; the handler itself returns the one-byte [`Flow`], parking
+/// an error in [`StepCtx::error`] and answering [`Flow::Error`].
+macro_rules! handlers {
+    ($(
+        $(#[$meta:meta])*
+        fn $name:ident $(<const $k:ident: u8>)? ($op:ident, $s:ident) $body:block
+    )*) => {$(
+        $(#[$meta])*
+        fn $name $(<const $k: u8>)? ($op: &ThreadedOp, $s: &mut StepCtx<'_, '_>) -> Flow {
+            #[inline(always)]
+            fn body $(<const $k: u8>)? (
+                $op: &ThreadedOp,
+                $s: &mut StepCtx<'_, '_>,
+            ) -> Result<Flow, ExecError> $body
+            match body $(::<$k>)? ($op, $s) {
+                Ok(flow) => flow,
+                Err(e) => $s.park(e),
+            }
+        }
+    )*};
 }
 
 fn pop(stack: &mut Vec<Value>) -> Result<Value, ExecError> {
@@ -470,223 +532,6 @@ macro_rules! select_bin {
     };
 }
 
-fn op_push_int(op: &ThreadedOp, s: &mut StepCtx) -> OpResult {
-    s.thread.stack.push(Value::Int(op.imm));
-    Ok(Flow::Next)
-}
-
-fn op_push_float(op: &ThreadedOp, s: &mut StepCtx) -> OpResult {
-    s.thread
-        .stack
-        .push(Value::Float(f64::from_bits(op.imm as u64)));
-    Ok(Flow::Next)
-}
-
-fn op_load_local(op: &ThreadedOp, s: &mut StepCtx) -> OpResult {
-    let v = s.thread.frame.locals[op.a as usize];
-    s.thread.stack.push(v);
-    Ok(Flow::Next)
-}
-
-fn op_store_local(op: &ThreadedOp, s: &mut StepCtx) -> OpResult {
-    let v = pop(&mut s.thread.stack)?;
-    s.thread.frame.locals[op.a as usize] = v;
-    Ok(Flow::Next)
-}
-
-fn op_load_mem(_op: &ThreadedOp, s: &mut StepCtx) -> OpResult {
-    let addr = pop(&mut s.thread.stack)?.as_int();
-    let v = s.env.load(addr, s.shared)?;
-    s.thread.stack.push(v);
-    Ok(Flow::Next)
-}
-
-fn op_store_mem(_op: &ThreadedOp, s: &mut StepCtx) -> OpResult {
-    let v = pop(&mut s.thread.stack)?;
-    let addr = pop(&mut s.thread.stack)?.as_int();
-    s.env.store(addr, v, s.shared)?;
-    Ok(Flow::Next)
-}
-
-fn op_bin<const K: u8>(_op: &ThreadedOp, s: &mut StepCtx) -> OpResult {
-    let b = pop(&mut s.thread.stack)?;
-    let a = pop(&mut s.thread.stack)?;
-    s.thread.stack.push(bin_op(bk(K), a, b)?);
-    Ok(Flow::Next)
-}
-
-fn op_un(op: &ThreadedOp, s: &mut StepCtx) -> OpResult {
-    let Instr::Un(kind) = op.instr else {
-        unreachable!("op_un bound to non-Un instruction")
-    };
-    let a = pop(&mut s.thread.stack)?;
-    s.thread.stack.push(un_op(kind, a));
-    Ok(Flow::Next)
-}
-
-fn op_cast_int(_op: &ThreadedOp, s: &mut StepCtx) -> OpResult {
-    let a = pop(&mut s.thread.stack)?;
-    s.thread.stack.push(Value::Int(a.as_int()));
-    Ok(Flow::Next)
-}
-
-fn op_cast_float(_op: &ThreadedOp, s: &mut StepCtx) -> OpResult {
-    let a = pop(&mut s.thread.stack)?;
-    s.thread.stack.push(Value::Float(a.as_float()));
-    Ok(Flow::Next)
-}
-
-fn op_jump(op: &ThreadedOp, s: &mut StepCtx) -> OpResult {
-    s.thread.frame.pc = op.a as usize;
-    Ok(Flow::Next)
-}
-
-fn op_jump_if_zero(op: &ThreadedOp, s: &mut StepCtx) -> OpResult {
-    if !pop(&mut s.thread.stack)?.is_truthy() {
-        s.thread.frame.pc = op.a as usize;
-    }
-    Ok(Flow::Next)
-}
-
-fn op_jump_if_non_zero(op: &ThreadedOp, s: &mut StepCtx) -> OpResult {
-    if pop(&mut s.thread.stack)?.is_truthy() {
-        s.thread.frame.pc = op.a as usize;
-    }
-    Ok(Flow::Next)
-}
-
-fn op_call(op: &ThreadedOp, s: &mut StepCtx) -> OpResult {
-    let id = op.a as FuncId;
-    let nargs = op.b as usize;
-    let callee = &s.env.module.functions[id as usize];
-    let mut locals = s.thread.spare_locals.pop().unwrap_or_default();
-    locals.clear();
-    locals.resize(callee.n_locals as usize, Value::Int(0));
-    for i in (0..nargs).rev() {
-        let v = pop(&mut s.thread.stack)?;
-        locals[i] = coerce(v, &callee.param_types[i]);
-    }
-    if s.thread.callers.len() + 1 > 512 {
-        return Err(ExecError::new("device call stack overflow"));
-    }
-    let new_frame = Frame {
-        func: id,
-        pc: 0,
-        locals,
-    };
-    let caller = std::mem::replace(&mut s.thread.frame, new_frame);
-    s.thread.callers.push(caller);
-    Ok(Flow::Frame)
-}
-
-fn op_ret(_op: &ThreadedOp, s: &mut StepCtx) -> OpResult {
-    let v = pop(&mut s.thread.stack)?;
-    if s.thread.pop_frame() {
-        s.thread.stack.push(v);
-        Ok(Flow::Frame)
-    } else {
-        s.thread.status = ThreadStatus::Done;
-        Ok(Flow::Yield)
-    }
-}
-
-fn op_ret_void(_op: &ThreadedOp, s: &mut StepCtx) -> OpResult {
-    if fall_off_end(s.thread) {
-        Ok(Flow::Frame)
-    } else {
-        Ok(Flow::Yield)
-    }
-}
-
-fn op_launch(op: &ThreadedOp, s: &mut StepCtx) -> OpResult {
-    let id = op.a as FuncId;
-    let nargs = op.b as usize;
-    let mut args = vec![Value::Int(0); nargs];
-    for i in (0..nargs).rev() {
-        args[i] = pop(&mut s.thread.stack)?;
-    }
-    let block = pop(&mut s.thread.stack)?.as_dim3();
-    let grid = pop(&mut s.thread.stack)?.as_dim3();
-    let total_blocks = grid[0] * grid[1] * grid[2];
-    if total_blocks <= 0 {
-        s.env.stats.empty_launches += 1;
-    } else {
-        let origin = LaunchOrigin::Device {
-            parent_grid: s.block.grid_id,
-            parent_block: s.block.linear_block,
-            issue_cycles: s.thread.cycles,
-        };
-        let env = &mut *s.env;
-        let child = env
-            .launches
-            .enqueue(env.module, env.limits, id, grid, block, args, origin)?;
-        s.btrace.launches.push(LaunchRecord {
-            child_grid: child,
-            issue_cycles: s.thread.cycles,
-        });
-        s.env.stats.device_launches += 1;
-    }
-    Ok(Flow::Next)
-}
-
-fn op_sync(_op: &ThreadedOp, s: &mut StepCtx) -> OpResult {
-    s.thread.status = ThreadStatus::AtBarrier;
-    Ok(Flow::Yield)
-}
-
-fn op_fence(_op: &ThreadedOp, _s: &mut StepCtx) -> OpResult {
-    // Blocks execute atomically relative to each other (sequentially or
-    // via validated speculation), so fences are functional no-ops; the
-    // cycle cost was already charged.
-    Ok(Flow::Next)
-}
-
-fn op_atomic(op: &ThreadedOp, s: &mut StepCtx) -> OpResult {
-    let Instr::Atomic(kind) = op.instr else {
-        unreachable!("op_atomic bound to non-Atomic instruction")
-    };
-    let old = match kind {
-        AtomicOp::Cas => {
-            let val = pop(&mut s.thread.stack)?;
-            let cmp = pop(&mut s.thread.stack)?;
-            let addr = pop(&mut s.thread.stack)?.as_int();
-            let old = s.env.load(addr, s.shared)?;
-            let new = if old == cmp { val } else { old };
-            s.env.store(addr, new, s.shared)?;
-            old
-        }
-        _ => {
-            let operand = pop(&mut s.thread.stack)?;
-            let addr = pop(&mut s.thread.stack)?.as_int();
-            let old = s.env.load(addr, s.shared)?;
-            let new = atomic_apply(kind, old, operand)?;
-            s.env.store(addr, new, s.shared)?;
-            old
-        }
-    };
-    s.thread.stack.push(old);
-    Ok(Flow::Next)
-}
-
-fn op_intrinsic1(op: &ThreadedOp, s: &mut StepCtx) -> OpResult {
-    let Instr::Intrinsic(i) = op.instr else {
-        unreachable!("op_intrinsic1 bound to non-Intrinsic instruction")
-    };
-    let a = pop(&mut s.thread.stack)?;
-    s.thread.stack.push(intrinsic1(i, a));
-    Ok(Flow::Next)
-}
-
-fn op_intrinsic2(op: &ThreadedOp, s: &mut StepCtx) -> OpResult {
-    let Instr::Intrinsic(i) = op.instr else {
-        unreachable!("op_intrinsic2 bound to non-Intrinsic instruction")
-    };
-    let b = pop(&mut s.thread.stack)?;
-    let a = pop(&mut s.thread.stack)?;
-    s.thread.stack.push(intrinsic2(i, a, b));
-    Ok(Flow::Next)
-}
-
 fn special_dims(which: u32, s: &StepCtx) -> [i64; 3] {
     match which {
         0 => s.thread.tidx,
@@ -705,112 +550,359 @@ const fn special_index(sp: Special) -> u32 {
     }
 }
 
-fn op_read_special(op: &ThreadedOp, s: &mut StepCtx) -> OpResult {
-    let d = special_dims(op.a, s);
-    s.thread.stack.push(Value::Dim3(d));
-    Ok(Flow::Next)
-}
-
-fn op_read_special_comp(op: &ThreadedOp, s: &mut StepCtx) -> OpResult {
-    let d = special_dims(op.a, s);
-    s.thread.stack.push(Value::Int(d[op.b as usize]));
-    Ok(Flow::Next)
-}
-
-fn op_make_dim3(_op: &ThreadedOp, s: &mut StepCtx) -> OpResult {
-    let z = pop(&mut s.thread.stack)?.as_int();
-    let y = pop(&mut s.thread.stack)?.as_int();
-    let x = pop(&mut s.thread.stack)?.as_int();
-    s.thread.stack.push(Value::Dim3([x, y, z]));
-    Ok(Flow::Next)
-}
-
-fn op_dim3_member(op: &ThreadedOp, s: &mut StepCtx) -> OpResult {
-    let d = pop(&mut s.thread.stack)?.as_dim3();
-    s.thread.stack.push(Value::Int(d[op.a as usize]));
-    Ok(Flow::Next)
-}
-
-fn op_dim3_set_member(op: &ThreadedOp, s: &mut StepCtx) -> OpResult {
-    let v = pop(&mut s.thread.stack)?.as_int();
-    let mut d = pop(&mut s.thread.stack)?.as_dim3();
-    d[op.a as usize] = v;
-    s.thread.stack.push(Value::Dim3(d));
-    Ok(Flow::Next)
-}
-
-fn op_pop(_op: &ThreadedOp, s: &mut StepCtx) -> OpResult {
-    pop(&mut s.thread.stack)?;
-    Ok(Flow::Next)
-}
-
-fn op_dup(_op: &ThreadedOp, s: &mut StepCtx) -> OpResult {
-    let v = *s
-        .thread
-        .stack
-        .last()
-        .ok_or_else(|| ExecError::new("stack underflow on dup"))?;
-    s.thread.stack.push(v);
-    Ok(Flow::Next)
-}
-
-fn op_swap(_op: &ThreadedOp, s: &mut StepCtx) -> OpResult {
-    let n = s.thread.stack.len();
-    if n < 2 {
-        return Err(ExecError::new("stack underflow on swap"));
+handlers! {
+    fn op_push_int(op, s) {
+        s.thread.stack.push(Value::Int(op.imm));
+        Ok(Flow::Next)
     }
-    s.thread.stack.swap(n - 1, n - 2);
-    Ok(Flow::Next)
-}
 
-// Fused superinstructions: each handler replicates the exact observable
-// semantics (including error cases) of its expansion — see
-// `Instr::expansion`. Accounting was already charged from the table.
-
-fn op_bin_locals<const K: u8>(op: &ThreadedOp, s: &mut StepCtx) -> OpResult {
-    let a = s.thread.frame.locals[op.a as usize];
-    let b = s.thread.frame.locals[op.b as usize];
-    s.thread.stack.push(bin_op(bk(K), a, b)?);
-    Ok(Flow::Next)
-}
-
-fn op_bin_imm<const K: u8>(op: &ThreadedOp, s: &mut StepCtx) -> OpResult {
-    let a = pop(&mut s.thread.stack)?;
-    s.thread.stack.push(bin_op(bk(K), a, Value::Int(op.imm))?);
-    Ok(Flow::Next)
-}
-
-fn op_inc_local(op: &ThreadedOp, s: &mut StepCtx) -> OpResult {
-    let slot = op.a as usize;
-    let old = s.thread.frame.locals[slot];
-    s.thread.frame.locals[slot] = bin_op(BinKind::Add, old, Value::Int(op.imm))?;
-    Ok(Flow::Next)
-}
-
-fn op_load_local_mem(op: &ThreadedOp, s: &mut StepCtx) -> OpResult {
-    let addr = s.thread.frame.locals[op.a as usize].as_int();
-    let v = s.env.load(addr, s.shared)?;
-    s.thread.stack.push(v);
-    Ok(Flow::Next)
-}
-
-fn op_cmp_branch_locals<const K: u8>(op: &ThreadedOp, s: &mut StepCtx) -> OpResult {
-    let a = s.thread.frame.locals[op.a as usize];
-    let b = s.thread.frame.locals[op.b as usize];
-    if !bin_op(bk(K), a, b)?.is_truthy() {
-        s.thread.frame.pc = op.imm as usize;
+    fn op_push_float(op, s) {
+        s.thread
+            .stack
+            .push(Value::Float(f64::from_bits(op.imm as u64)));
+        Ok(Flow::Next)
     }
-    Ok(Flow::Next)
-}
 
-fn op_store_load_local(op: &ThreadedOp, s: &mut StepCtx) -> OpResult {
-    let v = *s
-        .thread
-        .stack
-        .last()
-        .ok_or_else(|| ExecError::new("operand stack underflow"))?;
-    s.thread.frame.locals[op.a as usize] = v;
-    Ok(Flow::Next)
+    fn op_load_local(op, s) {
+        let v = s.thread.frame.locals[op.a as usize];
+        s.thread.stack.push(v);
+        Ok(Flow::Next)
+    }
+
+    fn op_store_local(op, s) {
+        let v = pop(&mut s.thread.stack)?;
+        s.thread.frame.locals[op.a as usize] = v;
+        Ok(Flow::Next)
+    }
+
+    fn op_load_mem(_op, s) {
+        let addr = pop(&mut s.thread.stack)?.as_int();
+        let v = s.env.load(addr, s.shared)?;
+        s.thread.stack.push(v);
+        Ok(Flow::Next)
+    }
+
+    fn op_store_mem(_op, s) {
+        let v = pop(&mut s.thread.stack)?;
+        let addr = pop(&mut s.thread.stack)?.as_int();
+        s.env.store(addr, v, s.shared)?;
+        Ok(Flow::Next)
+    }
+
+    fn op_bin<const K: u8>(_op, s) {
+        let b = pop(&mut s.thread.stack)?;
+        let a = pop(&mut s.thread.stack)?;
+        s.thread.stack.push(bin_op(bk(K), a, b)?);
+        Ok(Flow::Next)
+    }
+
+    fn op_un(op, s) {
+        let Instr::Un(kind) = op.instr else {
+            unreachable!("op_un bound to non-Un instruction")
+        };
+        let a = pop(&mut s.thread.stack)?;
+        s.thread.stack.push(un_op(kind, a));
+        Ok(Flow::Next)
+    }
+
+    fn op_cast_int(_op, s) {
+        let a = pop(&mut s.thread.stack)?;
+        s.thread.stack.push(Value::Int(a.as_int()));
+        Ok(Flow::Next)
+    }
+
+    fn op_cast_float(_op, s) {
+        let a = pop(&mut s.thread.stack)?;
+        s.thread.stack.push(Value::Float(a.as_float()));
+        Ok(Flow::Next)
+    }
+
+    fn op_jump(op, s) {
+        s.thread.frame.pc = op.a as usize;
+        Ok(Flow::Next)
+    }
+
+    fn op_jump_if_zero(op, s) {
+        if !pop(&mut s.thread.stack)?.is_truthy() {
+            s.thread.frame.pc = op.a as usize;
+        }
+        Ok(Flow::Next)
+    }
+
+    fn op_jump_if_non_zero(op, s) {
+        if pop(&mut s.thread.stack)?.is_truthy() {
+            s.thread.frame.pc = op.a as usize;
+        }
+        Ok(Flow::Next)
+    }
+
+    fn op_call(op, s) {
+        let id = op.a as FuncId;
+        let nargs = op.b as usize;
+        let callee = &s.env.module.functions[id as usize];
+        let mut locals = s.thread.spare_locals.pop().unwrap_or_default();
+        locals.clear();
+        locals.resize(callee.n_locals as usize, Value::Int(0));
+        for i in (0..nargs).rev() {
+            let v = pop(&mut s.thread.stack)?;
+            locals[i] = coerce(v, &callee.param_types[i]);
+        }
+        if s.thread.callers.len() + 1 > 512 {
+            return Err(ExecError::new("device call stack overflow"));
+        }
+        let new_frame = Frame {
+            func: id,
+            pc: 0,
+            locals,
+        };
+        let caller = std::mem::replace(&mut s.thread.frame, new_frame);
+        s.thread.callers.push(caller);
+        Ok(Flow::Frame)
+    }
+
+    fn op_ret(_op, s) {
+        let v = pop(&mut s.thread.stack)?;
+        if s.thread.pop_frame() {
+            s.thread.stack.push(v);
+            Ok(Flow::Frame)
+        } else {
+            s.thread.status = ThreadStatus::Done;
+            Ok(Flow::Yield)
+        }
+    }
+
+    fn op_ret_void(_op, s) {
+        if fall_off_end(s.thread) {
+            Ok(Flow::Frame)
+        } else {
+            Ok(Flow::Yield)
+        }
+    }
+
+    fn op_launch(op, s) {
+        let id = op.a as FuncId;
+        let nargs = op.b as usize;
+        let mut args = vec![Value::Int(0); nargs];
+        for i in (0..nargs).rev() {
+            args[i] = pop(&mut s.thread.stack)?;
+        }
+        let block = pop(&mut s.thread.stack)?.as_dim3();
+        let grid = pop(&mut s.thread.stack)?.as_dim3();
+        let total_blocks = grid[0] * grid[1] * grid[2];
+        if total_blocks <= 0 {
+            s.env.stats.empty_launches += 1;
+        } else {
+            let origin = LaunchOrigin::Device {
+                parent_grid: s.block.grid_id,
+                parent_block: s.block.linear_block,
+                issue_cycles: s.thread.cycles,
+            };
+            let env = &mut *s.env;
+            let child = env
+                .launches
+                .enqueue(env.module, env.limits, id, grid, block, args, origin)?;
+            s.btrace.launches.push(LaunchRecord {
+                child_grid: child,
+                issue_cycles: s.thread.cycles,
+            });
+            s.env.stats.device_launches += 1;
+        }
+        Ok(Flow::Next)
+    }
+
+    fn op_sync(_op, s) {
+        s.thread.status = ThreadStatus::AtBarrier;
+        Ok(Flow::Yield)
+    }
+
+    fn op_fence(_op, _s) {
+        // Blocks execute atomically relative to each other (sequentially or
+        // via validated speculation), so fences are functional no-ops; the
+        // cycle cost was already charged.
+        Ok(Flow::Next)
+    }
+
+    fn op_atomic(op, s) {
+        let Instr::Atomic(kind) = op.instr else {
+            unreachable!("op_atomic bound to non-Atomic instruction")
+        };
+        let old = match kind {
+            AtomicOp::Cas => {
+                let val = pop(&mut s.thread.stack)?;
+                let cmp = pop(&mut s.thread.stack)?;
+                let addr = pop(&mut s.thread.stack)?.as_int();
+                let old = s.env.load(addr, s.shared)?;
+                let new = if old == cmp { val } else { old };
+                s.env.store(addr, new, s.shared)?;
+                old
+            }
+            _ => {
+                let operand = pop(&mut s.thread.stack)?;
+                let addr = pop(&mut s.thread.stack)?.as_int();
+                let old = s.env.load(addr, s.shared)?;
+                let new = atomic_apply(kind, old, operand)?;
+                s.env.store(addr, new, s.shared)?;
+                old
+            }
+        };
+        s.thread.stack.push(old);
+        Ok(Flow::Next)
+    }
+
+    fn op_intrinsic1(op, s) {
+        let Instr::Intrinsic(i) = op.instr else {
+            unreachable!("op_intrinsic1 bound to non-Intrinsic instruction")
+        };
+        let a = pop(&mut s.thread.stack)?;
+        s.thread.stack.push(intrinsic1(i, a));
+        Ok(Flow::Next)
+    }
+
+    fn op_intrinsic2(op, s) {
+        let Instr::Intrinsic(i) = op.instr else {
+            unreachable!("op_intrinsic2 bound to non-Intrinsic instruction")
+        };
+        let b = pop(&mut s.thread.stack)?;
+        let a = pop(&mut s.thread.stack)?;
+        s.thread.stack.push(intrinsic2(i, a, b));
+        Ok(Flow::Next)
+    }
+
+    fn op_read_special(op, s) {
+        let d = special_dims(op.a, s);
+        s.thread.stack.push(Value::Dim3(d));
+        Ok(Flow::Next)
+    }
+
+    fn op_read_special_comp(op, s) {
+        let d = special_dims(op.a, s);
+        s.thread.stack.push(Value::Int(d[op.b as usize]));
+        Ok(Flow::Next)
+    }
+
+    fn op_make_dim3(_op, s) {
+        let z = pop(&mut s.thread.stack)?.as_int();
+        let y = pop(&mut s.thread.stack)?.as_int();
+        let x = pop(&mut s.thread.stack)?.as_int();
+        s.thread.stack.push(Value::Dim3([x, y, z]));
+        Ok(Flow::Next)
+    }
+
+    fn op_dim3_member(op, s) {
+        let d = pop(&mut s.thread.stack)?.as_dim3();
+        s.thread.stack.push(Value::Int(d[op.a as usize]));
+        Ok(Flow::Next)
+    }
+
+    fn op_dim3_set_member(op, s) {
+        let v = pop(&mut s.thread.stack)?.as_int();
+        let mut d = pop(&mut s.thread.stack)?.as_dim3();
+        d[op.a as usize] = v;
+        s.thread.stack.push(Value::Dim3(d));
+        Ok(Flow::Next)
+    }
+
+    fn op_pop(_op, s) {
+        pop(&mut s.thread.stack)?;
+        Ok(Flow::Next)
+    }
+
+    fn op_dup(_op, s) {
+        let v = *s
+            .thread
+            .stack
+            .last()
+            .ok_or_else(|| ExecError::new("stack underflow on dup"))?;
+        s.thread.stack.push(v);
+        Ok(Flow::Next)
+    }
+
+    fn op_swap(_op, s) {
+        let n = s.thread.stack.len();
+        if n < 2 {
+            return Err(ExecError::new("stack underflow on swap"));
+        }
+        s.thread.stack.swap(n - 1, n - 2);
+        Ok(Flow::Next)
+    }
+
+    // Fused superinstructions: each handler replicates the exact observable
+    // semantics (including error cases) of its expansion — see
+    // `Instr::expansion`. Accounting was already charged from the table.
+
+    fn op_bin_locals<const K: u8>(op, s) {
+        let a = s.thread.frame.locals[op.a as usize];
+        let b = s.thread.frame.locals[op.b as usize];
+        s.thread.stack.push(bin_op(bk(K), a, b)?);
+        Ok(Flow::Next)
+    }
+
+    fn op_bin_imm<const K: u8>(op, s) {
+        let a = pop(&mut s.thread.stack)?;
+        s.thread.stack.push(bin_op(bk(K), a, Value::Int(op.imm))?);
+        Ok(Flow::Next)
+    }
+
+    fn op_add_imm_local(op, s) {
+        let v = s.thread.frame.locals[op.b as usize];
+        s.thread.frame.locals[op.a as usize] = bin_op(BinKind::Add, v, Value::Int(op.imm))?;
+        Ok(Flow::Next)
+    }
+
+    fn op_load_local_mem(op, s) {
+        let addr = s.thread.frame.locals[op.a as usize].as_int();
+        let v = s.env.load(addr, s.shared)?;
+        s.thread.stack.push(v);
+        Ok(Flow::Next)
+    }
+
+    fn op_cmp_branch_locals<const K: u8>(op, s) {
+        let a = s.thread.frame.locals[op.a as usize];
+        let b = s.thread.frame.locals[op.b as usize];
+        if !bin_op(bk(K), a, b)?.is_truthy() {
+            s.thread.frame.pc = op.imm as usize;
+        }
+        Ok(Flow::Next)
+    }
+
+    fn op_store_load_local(op, s) {
+        let v = *s
+            .thread
+            .stack
+            .last()
+            .ok_or_else(|| ExecError::new("operand stack underflow"))?;
+        s.thread.frame.locals[op.a as usize] = v;
+        Ok(Flow::Next)
+    }
+
+    fn op_cast_store_local(op, s) {
+        let v = pop(&mut s.thread.stack)?;
+        s.thread.frame.locals[op.a as usize] = Value::Int(v.as_int());
+        Ok(Flow::Next)
+    }
+
+    fn op_copy_local(op, s) {
+        s.thread.frame.locals[op.a as usize] = s.thread.frame.locals[op.b as usize];
+        Ok(Flow::Next)
+    }
+
+    fn op_load_indexed(op, s) {
+        let a = s.thread.frame.locals[op.a as usize];
+        let b = s.thread.frame.locals[op.b as usize];
+        let addr = bin_op(BinKind::Add, a, b)?.as_int();
+        let v = s.env.load(addr, s.shared)?;
+        s.thread.stack.push(v);
+        Ok(Flow::Next)
+    }
+
+    fn op_cmp_branch<const K: u8>(op, s) {
+        let b = pop(&mut s.thread.stack)?;
+        let a = pop(&mut s.thread.stack)?;
+        if !bin_op(bk(K), a, b)?.is_truthy() {
+            s.thread.frame.pc = op.a as usize;
+        }
+        Ok(Flow::Next)
+    }
 }
 
 /// Decodes one instruction into its table slot.
@@ -827,6 +919,8 @@ fn threaded_op(instr: Instr, origin: CodeOrigin, cost: &CostModel) -> ThreadedOp
         seg_len: 0,
         seg_width: 0,
         seg_cycles: 0,
+        seg_ops: 0,
+        seg_next: 0,
     };
     op.exec = match instr {
         Instr::PushInt(v) => {
@@ -912,10 +1006,11 @@ fn threaded_op(instr: Instr, origin: CodeOrigin, cost: &CostModel) -> ThreadedOp
             op.imm = v;
             select_bin!(k, op_bin_imm)
         }
-        Instr::IncLocal(s, d) => {
-            op.a = s as u32;
+        Instr::AddImmLocal(dst, src, d) => {
+            op.a = dst as u32;
+            op.b = src as u32;
             op.imm = d;
-            op_inc_local
+            op_add_imm_local
         }
         Instr::LoadLocalMem(s) => {
             op.a = s as u32;
@@ -931,6 +1026,24 @@ fn threaded_op(instr: Instr, origin: CodeOrigin, cost: &CostModel) -> ThreadedOp
             op.a = s as u32;
             op_store_load_local
         }
+        Instr::CastStoreLocal(s) => {
+            op.a = s as u32;
+            op_cast_store_local
+        }
+        Instr::CopyLocal(dst, src) => {
+            op.a = dst as u32;
+            op.b = src as u32;
+            op_copy_local
+        }
+        Instr::LoadIndexed(a, b) => {
+            op.a = a as u32;
+            op.b = b as u32;
+            op_load_indexed
+        }
+        Instr::CmpBranch(k, t) => {
+            op.a = t;
+            select_bin!(k, op_cmp_branch)
+        }
     };
     op
 }
@@ -945,6 +1058,7 @@ const fn ends_segment(instr: &Instr) -> bool {
         | Instr::JumpIfZero(_)
         | Instr::JumpIfNonZero(_)
         | Instr::CmpBranchLocals(..)
+        | Instr::CmpBranch(..)
         | Instr::Call(..)
         | Instr::Ret
         | Instr::RetVoid
@@ -973,9 +1087,12 @@ const fn ends_segment(instr: &Instr) -> bool {
         | Instr::Swap
         | Instr::BinLocals(..)
         | Instr::BinImm(..)
-        | Instr::IncLocal(..)
+        | Instr::AddImmLocal(..)
         | Instr::LoadLocalMem(_)
-        | Instr::StoreLoadLocal(_) => false,
+        | Instr::StoreLoadLocal(_)
+        | Instr::CastStoreLocal(_)
+        | Instr::CopyLocal(..)
+        | Instr::LoadIndexed(..) => false,
     }
 }
 
@@ -983,7 +1100,9 @@ const fn ends_segment(instr: &Instr) -> bool {
 /// instruction, carrying the cost model's cycles, the fusion-transparent
 /// width/origin accounting, and the segment suffix sums). A segment ends
 /// after an [`ends_segment`] op, at the end of the function, and where
-/// the next op's origin differs.
+/// the next op's origin differs. A segment that ends in an unconditional
+/// `Jump` dispatches one op fewer than it charges and continues at the
+/// jump's target.
 fn build_tables(module: &Module, cost: &CostModel) -> Vec<Box<[ThreadedOp]>> {
     module
         .functions
@@ -997,16 +1116,29 @@ fn build_tables(module: &Module, cost: &CostModel) -> Vec<Box<[ThreadedOp]>> {
                 .collect();
             for pc in (0..ops.len()).rev() {
                 let op = ops[pc];
-                let rest = match ops.get(pc + 1) {
-                    Some(next) if !ends_segment(&op.instr) && next.origin == op.origin => {
-                        (next.seg_len, next.seg_width, next.seg_cycles)
-                    }
-                    _ => (0, 0, 0),
-                };
+                let rest = ops
+                    .get(pc + 1)
+                    .filter(|next| !ends_segment(&op.instr) && next.origin == op.origin)
+                    .copied();
                 let slot = &mut ops[pc];
-                slot.seg_len = rest.0 + 1;
-                slot.seg_width = rest.1 + op.width;
-                slot.seg_cycles = rest.2 + op.cycles;
+                match rest {
+                    Some(next) => {
+                        slot.seg_len = next.seg_len + 1;
+                        slot.seg_width = next.seg_width + op.width;
+                        slot.seg_cycles = next.seg_cycles + op.cycles;
+                        slot.seg_ops = next.seg_ops + 1;
+                        slot.seg_next = next.seg_next;
+                    }
+                    None => {
+                        slot.seg_len = 1;
+                        slot.seg_width = op.width;
+                        slot.seg_cycles = op.cycles;
+                        (slot.seg_ops, slot.seg_next) = match op.instr {
+                            Instr::Jump(target) => (0, target),
+                            _ => (1, pc as u32 + 1),
+                        };
+                    }
+                }
             }
             ops
         })
@@ -1301,8 +1433,9 @@ fn budget_exhausted() -> ExecError {
 /// Runs one thread until it returns, reaches a barrier, or errors —
 /// direct-threaded dispatch with segment accounting (see the module
 /// docs): charge the straight-line segment that starts at pc once, then
-/// call each of its ops' handlers through their function pointers. The
-/// per-function table is re-derived only when the frame stack changes.
+/// call each of its ops' handlers through their function pointers, except
+/// a trailing unconditional `Jump`, whose target the table already holds.
+/// The per-function table is re-derived only when the frame stack changes.
 fn run_thread_threaded(
     env: &mut ExecEnv<'_>,
     thread: &mut Thread,
@@ -1317,6 +1450,7 @@ fn run_thread_threaded(
         block,
         shared,
         btrace,
+        error: None,
     };
     'frames: loop {
         let table: &[ThreadedOp] = &tables[s.thread.frame.func as usize];
@@ -1330,17 +1464,21 @@ fn run_thread_threaded(
                 return Ok(());
             };
             // A budget too small for the whole segment is charged one op
-            // at a time, so exhaustion lands on the same op as it would
-            // under per-instruction charging.
-            let (len, width, cycles) = if *s.env.instr_budget >= head.seg_width as u64 {
-                (
-                    head.seg_len as usize,
-                    head.seg_width as u64,
-                    head.seg_cycles,
-                )
-            } else {
-                (1, head.width as u64, head.cycles)
-            };
+            // at a time (and dispatches it, a `Jump` included), so
+            // exhaustion lands on the same op as it would under
+            // per-instruction charging.
+            let (charged, ops, next, width, cycles) =
+                if *s.env.instr_budget >= head.seg_width as u64 {
+                    (
+                        head.seg_len as usize,
+                        head.seg_ops as usize,
+                        head.seg_next as usize,
+                        head.seg_width as u64,
+                        head.seg_cycles,
+                    )
+                } else {
+                    (1, 1, pc + 1, head.width as u64, head.cycles)
+                };
             s.thread.cycles += cycles;
             s.thread.instructions += width;
             s.thread.origin_cycles.add(head.origin, cycles);
@@ -1349,19 +1487,20 @@ fn run_thread_threaded(
             }
             *s.env.instr_budget -= width;
             // Only the last op of a run can jump, so the fall-through pc
-            // is the run's end.
-            s.thread.frame.pc = pc + len;
-            let run = &table[pc..pc + len];
-            for (i, op) in run.iter().enumerate() {
+            // is the run's end (or its elided jump's target).
+            s.thread.frame.pc = next;
+            for (i, op) in table[pc..pc + ops].iter().enumerate() {
                 match (op.exec)(op, &mut s) {
-                    Ok(Flow::Next) => {}
-                    Ok(Flow::Frame) => continue 'frames,
-                    Ok(Flow::Yield) => return Ok(()),
-                    Err(e) => {
-                        if let Some(next) = run.get(i + 1) {
-                            refund_rest(s.thread, s.env.instr_budget, next);
+                    Flow::Next => {}
+                    Flow::Frame => continue 'frames,
+                    Flow::Yield => return Ok(()),
+                    Flow::Error => {
+                        // Refund every charged op after the failing one,
+                        // an elided trailing `Jump` included.
+                        if i + 1 < charged {
+                            refund_rest(s.thread, s.env.instr_budget, &table[pc + i + 1]);
                         }
-                        return Err(e);
+                        return Err(s.error.take().expect("a failing handler parks its error"));
                     }
                 }
             }
@@ -1633,9 +1772,9 @@ fn run_thread_match(
                     let a = pop(&mut t.stack)?;
                     t.stack.push(bin_op(kind, a, Value::Int(v))?);
                 }
-                Instr::IncLocal(slot, delta) => {
-                    let old = t.frame.locals[slot as usize];
-                    t.frame.locals[slot as usize] = bin_op(BinKind::Add, old, Value::Int(delta))?;
+                Instr::AddImmLocal(dst, src, delta) => {
+                    let v = t.frame.locals[src as usize];
+                    t.frame.locals[dst as usize] = bin_op(BinKind::Add, v, Value::Int(delta))?;
                 }
                 Instr::LoadLocalMem(slot) => {
                     let addr = t.frame.locals[slot as usize].as_int();
@@ -1655,6 +1794,27 @@ fn run_thread_match(
                         .last()
                         .ok_or_else(|| ExecError::new("operand stack underflow"))?;
                     t.frame.locals[slot as usize] = v;
+                }
+                Instr::CastStoreLocal(slot) => {
+                    let v = pop(&mut t.stack)?;
+                    t.frame.locals[slot as usize] = Value::Int(v.as_int());
+                }
+                Instr::CopyLocal(dst, src) => {
+                    t.frame.locals[dst as usize] = t.frame.locals[src as usize];
+                }
+                Instr::LoadIndexed(a, b) => {
+                    let a = t.frame.locals[a as usize];
+                    let b = t.frame.locals[b as usize];
+                    let addr = bin_op(BinKind::Add, a, b)?.as_int();
+                    let v = env.load(addr, shared)?;
+                    t.stack.push(v);
+                }
+                Instr::CmpBranch(kind, target) => {
+                    let b = pop(&mut t.stack)?;
+                    let a = pop(&mut t.stack)?;
+                    if !bin_op(kind, a, b)?.is_truthy() {
+                        t.frame.pc = target as usize;
+                    }
                 }
             }
         }
@@ -2045,6 +2205,18 @@ impl Machine {
         self.tables[func as usize]
             .iter()
             .map(|op| (op.seg_len, op.seg_width, op.seg_cycles))
+            .collect()
+    }
+
+    /// Where each pc's segment leaves function `func`'s dispatch table, one
+    /// `(dispatched ops, next pc)` pair per pc: a segment ending in an
+    /// unconditional `Jump` dispatches one op fewer than it charges and
+    /// continues at the jump's target — for table-invariant tests.
+    #[doc(hidden)]
+    pub fn segment_exits(&self, func: FuncId) -> Vec<(u32, u32)> {
+        self.tables[func as usize]
+            .iter()
+            .map(|op| (op.seg_ops, op.seg_next))
             .collect()
     }
 
@@ -3357,9 +3529,11 @@ mod tests {
         }
     }
 
-    /// A kernel with branches, a device call, a barrier and a device
-    /// launch, as written and thresholded plus coarsened, so that
-    /// transform-inserted (non-`Original`) code runs too.
+    /// A kernel with branches, a device call, a barrier, a device launch
+    /// and a binary search (every profile-driven superinstruction, and
+    /// segments that end in an elided `Jump`), as written and thresholded
+    /// plus coarsened, so that transform-inserted (non-`Original`) code
+    /// runs too.
     fn segmented_modules() -> [Module; 2] {
         let src = "__device__ int scale(int x, int k) { \
                        int r = x * k; if (r > 10) { r = r - 7; } return r; }\n\
@@ -3375,8 +3549,13 @@ mod tests {
                        __syncthreads(); \
                        int acc = 0; \
                        for (int j = 0; j < count; ++j) { acc += tile[(threadIdx.x + j) % 4]; } \
+                       int lo = 0; \
+                       int hi = numV - 1; \
+                       while (lo < hi) { \
+                           int mid = (lo + hi) / 2; \
+                           if (deg[mid] > count) { hi = mid; } else { lo = mid + 1; } } \
                        if (v < numV) { \
-                           d[v] = acc; \
+                           d[v] = acc + lo; \
                            if (count > 0) { child<<<(count + 1) / 2, 2>>>(d, 8 + v * 8, count); } } }";
         let plain = dp_frontend::parse(src).unwrap();
         let mut transformed = plain.clone();
@@ -3393,7 +3572,51 @@ mod tests {
                 .any(|o| *o != CodeOrigin::Original),
             "the transforms must insert code"
         );
-        [compile_program(&plain).unwrap(), transformed]
+        let plain = compile_program(&plain).unwrap();
+        for module in [&plain, &transformed] {
+            let code: Vec<Instr> = module
+                .functions
+                .iter()
+                .flat_map(|f| f.code.clone())
+                .collect();
+            for (name, present) in [
+                (
+                    "CastStoreLocal",
+                    code.iter().any(|i| matches!(i, Instr::CastStoreLocal(_))),
+                ),
+                (
+                    "CopyLocal",
+                    code.iter().any(|i| matches!(i, Instr::CopyLocal(..))),
+                ),
+                (
+                    "LoadIndexed",
+                    code.iter().any(|i| matches!(i, Instr::LoadIndexed(..))),
+                ),
+                (
+                    "CmpBranch",
+                    code.iter().any(|i| matches!(i, Instr::CmpBranch(..))),
+                ),
+                (
+                    "AddImmLocal",
+                    code.iter().any(|i| matches!(i, Instr::AddImmLocal(..))),
+                ),
+            ] {
+                assert!(present, "the kernel must exercise {name}");
+            }
+            let m = Machine::new(module.clone());
+            let elided = (0..module.functions.len() as FuncId).any(|id| {
+                let suffixes = m.segment_suffixes(id);
+                m.segment_exits(id)
+                    .iter()
+                    .zip(&suffixes)
+                    .any(|(&(ops, _), &(len, ..))| ops < len && ops > 0)
+            });
+            assert!(
+                elided,
+                "some segment must end in an elided Jump after other ops"
+            );
+        }
+        [plain, transformed]
     }
 
     fn launch_segmented(m: &mut Machine) {
@@ -3429,6 +3652,30 @@ mod tests {
         }
     }
 
+    /// Runs kernel `k(d, z = 0, far = 1_000_000)` of `src` on one block of
+    /// four threads under both dispatchers at an unbounded and a finite
+    /// budget, and checks that it fails with `expected` and leaves the
+    /// same outcome under both.
+    fn check_mid_segment_error(name: &str, module: &Module, expected: &str) {
+        let setup = |m: &mut Machine| {
+            let d = m.alloc(4);
+            m.launch_host(
+                "k",
+                1,
+                4,
+                &[Value::Int(d), Value::Int(0), Value::Int(1_000_000)],
+            )
+            .unwrap();
+        };
+        for budget in [u64::MAX, 1_000] {
+            let reference = run_outcome(module, DispatchMode::Match, budget, &setup);
+            let threaded = run_outcome(module, DispatchMode::Threaded, budget, &setup);
+            let err = reference.result.clone().unwrap_err();
+            assert!(err.contains(expected), "{name}: {err}");
+            assert_eq!(threaded, reference, "{name}, budget {budget}");
+        }
+    }
+
     /// A handler that errors in the middle of a straight-line segment
     /// must leave the counters where per-instruction charging leaves
     /// them: the charges for the ops after it are refunded.
@@ -3461,23 +3708,58 @@ mod tests {
                 module.function(k).code.len(),
                 "{name}: the kernel is one straight-line segment"
             );
-            let setup = |m: &mut Machine| {
-                let d = m.alloc(4);
-                m.launch_host(
-                    "k",
-                    1,
-                    4,
-                    &[Value::Int(d), Value::Int(0), Value::Int(1_000_000)],
-                )
-                .unwrap();
+            check_mid_segment_error(name, &module, expected);
+        }
+    }
+
+    /// When the op just before an elided trailing `Jump` errors, the
+    /// refund must cover the `Jump` too: it was charged with the segment
+    /// although its handler never runs.
+    #[test]
+    fn errors_before_an_elided_jump_refund_the_jump() {
+        let cases = [
+            (
+                "out-of-bounds indexed load",
+                "__global__ void k(int* d, int z, int far) { \
+                     int a = threadIdx.x + 1; \
+                     int q = a > 0 ? d[far] : 0; \
+                     d[1] = q + a; }",
+                "out of bounds",
+            ),
+            (
+                "divide by zero",
+                "__global__ void k(int* d, int z, int far) { \
+                     int a = threadIdx.x + 1; \
+                     int q = a > 0 ? a / z : 0; \
+                     d[1] = q + a; }",
+                "division by zero",
+            ),
+        ];
+        for (name, src, expected) in cases {
+            let module = compile_program(&dp_frontend::parse(src).unwrap()).unwrap();
+            let m = Machine::new(module.clone());
+            let k = module.id_of("k").unwrap();
+            let code = &module.function(k).code;
+            // The ternary's true arm: the faulting op, then `Jump end`, as
+            // one segment that dispatches only the faulting op.
+            let jump = code
+                .iter()
+                .position(|i| matches!(i, Instr::Jump(_)))
+                .expect("the ternary jumps over its false arm");
+            let arm = jump - 1;
+            assert!(
+                matches!(
+                    code[arm],
+                    Instr::LoadIndexed(..) | Instr::BinLocals(BinKind::Div, ..)
+                ),
+                "{name}: {code:?}"
+            );
+            let Instr::Jump(target) = code[jump] else {
+                unreachable!()
             };
-            for budget in [u64::MAX, 1_000] {
-                let reference = run_outcome(&module, DispatchMode::Match, budget, &setup);
-                let threaded = run_outcome(&module, DispatchMode::Threaded, budget, &setup);
-                let err = reference.result.clone().unwrap_err();
-                assert!(err.contains(expected), "{name}: {err}");
-                assert_eq!(threaded, reference, "{name}, budget {budget}");
-            }
+            assert_eq!(m.segment_suffixes(k)[arm].0, 2, "{name}: {code:?}");
+            assert_eq!(m.segment_exits(k)[arm], (1, target), "{name}: {code:?}");
+            check_mid_segment_error(name, &module, expected);
         }
     }
 }

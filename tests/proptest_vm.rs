@@ -244,7 +244,7 @@ fn depth_profile(code: &[Instr]) -> Vec<i64> {
 /// Walks a fused stream, checking each superinstruction's expansion never
 /// underflows and that the depth at every instruction *boundary* equals the
 /// unfused stream's depth at the corresponding original-unit index (the
-/// depths the machine actually observes — `IncLocal`'s interior is
+/// depths the machine actually observes — `AddImmLocal`'s interior is
 /// canonicalized and never materialized on the stack). Returns the
 /// boundary depths' original-unit indices for the length check.
 fn check_fused_depths(fused: &[Instr], unfused_profile: &[i64]) -> usize {
